@@ -30,11 +30,12 @@
    claim): the non-looped panel of a Figure 7 grid — both models, four
    batch sizes — searched end-to-end with the batched pipeline
    (vectorized family pricing, closed-form memory, family-cached bound
-   partials with the drain certificate, lazy schedules, sibling delta
-   replay) must run at least 10x faster than the PR 5 pipeline
+   partials with the drain certificate, lazy schedules, compiled program
+   topologies) must run at least 10x faster than the older pipeline
    reproduced faithfully below (``_pr5_best_configuration``: eager
    schedule materialization per enumerated candidate, schedule-derived
-   memory, the pre-drain scalar bound, a plain simulate loop), with
+   memory, the pre-drain scalar bound, a plain build-and-run-the-engine
+   simulate loop), with
    byte-identical winners on every cell.  The non-looped panel is the
    guarded grid because it is where the composition matters: the drain
    certificate collapses the simulate set (n_tried 8-44 -> 1-2) *and*
@@ -58,17 +59,17 @@
    checkpoints, and their wall times are recorded (unguarded) in the
    trajectory.
 
-Every timed cell also appends a trajectory entry to
-``benchmarks/BENCH_search.json`` (see :mod:`repro.obs.trajectory`) so
-the perf history accumulates per commit; CI uploads the file as an
-artifact.
+Every timed cell also appends a trajectory entry to the file named by
+``pytest --bench-record PATH`` (see :mod:`repro.obs.trajectory`) so the
+perf history accumulates per commit; CI seeds that file from the
+committed ``benchmarks/BENCH_search.json`` and uploads it as an
+artifact.  Without the option nothing is written.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from pathlib import Path
 
 from repro.analytical.lower_bound import (
     FLOAT_MARGIN,
@@ -103,9 +104,10 @@ from repro.search.space import configuration_space
 from repro.sim.cost_store import CostStore, collect_tables, seed_from_store
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import CostModel, comm_time_table, stage_time_table
-from repro.sim.engine import Instruction
+from repro.sim.engine import Instruction, run_streams
 from repro.sim.engine_sweep import run_streams_sweep
-from repro.sim.simulator import simulate
+from repro.sim.simulator import _assemble_result, simulate
+from repro.sim.topology import compiled_topology
 
 COMPUTE, PP, DP = "compute", "pp", "dp"
 
@@ -130,9 +132,10 @@ PRUNE_OFF = SearchSettings(bound_pruning=False)
 #: recorder installed may be at most this factor over the verbatim
 #: pre-instrumentation pipeline (min-of-rounds on both sides).
 MAX_OBS_OVERHEAD = 1.02
+#: Timed pairs of that gate.  The cell takes ~0.06 s, so it takes many
+#: pairs for the median ratio to settle within the 2% margin.
+OBS_PAIRS = 24
 
-#: Perf-trajectory file (committed; CI uploads it as an artifact).
-TRAJECTORY_PATH = Path(__file__).resolve().parent / "BENCH_search.json"
 
 
 def _uid_of(op: ComputeOp) -> tuple:
@@ -544,9 +547,350 @@ def _pre_obs_best_configuration(spec, cluster, method, batch_size, settings):
 # prefixed, dataclasses adapted to the current field sets): an eager
 # schedule build per enumerated candidate, schedule-derived memory, the
 # pre-drain bound with scalar per-stage collective calls, and a plain
-# per-candidate simulate loop.  This is the baseline the batched-grid
-# guard measures against.
+# per-candidate simulate loop that lowers each program and runs it on
+# the event engine (compiled topologies came later and belong to the
+# pipeline under test, not the baseline).  This is the baseline the
+# batched-grid guard measures against.
 # --------------------------------------------------------------------------
+
+
+# The event-engine path's program builder, copied verbatim from the last
+# commit before compiled program topologies (only the class name
+# changed), so the baseline's per-candidate lowering cannot move with
+# later changes to repro.sim.program.
+_KIND_TAG = {kind: kind.value for kind in OpKind}
+
+
+class _FrozenProgramBuilder:
+    """Accumulates instruction queues for one configuration.
+
+    Per-stage durations are evaluated once up front: the cost model
+    recomputes placement boundaries and network lookups on every call,
+    which dominated the grid search when charged per instruction.  With
+    ``record_events=False`` no label strings are built either, so
+    search-mode programs allocate nothing that only a timeline would read.
+    """
+
+    def __init__(
+        self, cost: CostModel, schedule: Schedule, *, record_events: bool = True
+    ) -> None:
+        self.cost = cost
+        self.schedule = schedule
+        self.record_events = record_events
+        self.config = cost.config
+        self.impl = cost.implementation
+        self.n_stages = schedule.n_stages
+        self.dp_active = self.config.n_dp > 1
+        self.sharded_full = (
+            self.config.sharding is Sharding.FULL and self.dp_active
+        )
+        # Per-stage durations come from the memoized family table
+        # (repro.sim.cost.stage_time_table): candidates differing only in
+        # n_dp / n_mb / sharding / schedule share one computation, within
+        # a search cell and across adjacent batch-size cells of a sweep.
+        times = cost.stage_times()
+        self.pp_time = times.pp_transfer
+        self.pp_launch = times.pp_launch
+        self.forward_times = times.forward
+        self.backward_times = times.backward
+        stages = range(self.n_stages)
+        self.head_fractions = [
+            1.0 / cost.placement.n_layers_of_stage(s) for s in stages
+        ]
+        if self.dp_active:
+            # DP-collective durations come from the memoized comm-family
+            # table (repro.sim.cost.comm_time_table): one gather/reduce
+            # pricing pass per (n_pp, n_loop, n_tp, n_dp, sharding)
+            # family serves every schedule, micro-batch shape and batch
+            # size that shares it — the warm-start counterpart of
+            # stage_time_table for the DP side (the ROADMAP follow-on).
+            comm = cost.comm_times()
+            self.gather_times = comm.gather
+            self.reduce_times = comm.reduce
+            self.post_gather_times = comm.post_gather
+            self.dp_serial_times = comm.dp_serial
+        self.streams: dict[tuple[int, str], list[Instruction]] = {}
+
+    # ----------------------------------------------------------- helpers
+
+    def _head_fraction(self, stage: int) -> float:
+        """Share of a stage's DP volume in one layer (the gating head)."""
+        return self.head_fractions[stage]
+
+    def _emit_split(
+        self,
+        queue: list[Instruction],
+        prefix: str,
+        stage: int,
+        key: int,
+        duration: float,
+        category: str,
+        *,
+        head_deps: tuple = (),
+        bulk_deps: tuple = (),
+        head_last: bool = False,
+    ) -> tuple[tuple, tuple]:
+        """Emit a head+bulk pair on ``queue``; return (head, tail) uids.
+
+        The *head* is one layer's worth of traffic — the only part that
+        strictly gates (gathers) or trails (reductions) compute; the
+        *bulk* pipelines layer-by-layer against compute.  With
+        ``head_last=False`` the head comes first (gathers: compute can
+        start once the first layer arrived); with ``head_last=True`` it
+        comes last (reductions: only the final layer's reduce trails the
+        last backward).  Single-layer stages emit one instruction.
+        """
+        frac = self._head_fraction(stage)
+        labelled = self.record_events
+        head_uid = (prefix + "H", stage, key)
+        if frac >= 1.0:
+            queue.append(
+                Instruction(
+                    uid=head_uid,
+                    duration=duration,
+                    deps=head_deps,
+                    label=f"{prefix}(s={stage}, g={key})" if labelled else "",
+                    category=category,
+                )
+            )
+            return head_uid, head_uid
+        bulk_uid = (prefix + "R", stage, key)
+        head = Instruction(
+            uid=head_uid,
+            duration=duration * frac,
+            deps=head_deps,
+            label=f"{prefix}-head(s={stage}, g={key})" if labelled else "",
+            category=category,
+        )
+        bulk = Instruction(
+            uid=bulk_uid,
+            duration=duration * (1.0 - frac),
+            deps=bulk_deps,
+            label=f"{prefix}-bulk(s={stage}, g={key})" if labelled else "",
+            category=category,
+        )
+        if head_last:
+            queue.extend((bulk, head))
+            return head_uid, head_uid
+        queue.extend((head, bulk))
+        return head_uid, bulk_uid
+
+    # ------------------------------------------------------------- build
+
+    def build(self) -> dict[tuple[int, str], list[Instruction]]:
+        for rank in range(self.schedule.n_pp):
+            self.streams[(rank, COMPUTE)] = []
+            if self.impl.pp_overlap:
+                self.streams[(rank, PP)] = []
+            if self.impl.dp_overlap and self.dp_active:
+                self.streams[(rank, DP)] = []
+        for rank in range(self.schedule.n_pp):
+            self._build_rank(rank)
+        return self.streams
+
+    def _build_rank(self, rank: int) -> None:
+        cost, config, impl = self.cost, self.config, self.impl
+        order = self.schedule.ops_of(rank)
+        compute_q = self.streams[(rank, COMPUTE)]
+        pp_q = self.streams.get((rank, PP), compute_q)
+        dp_q = self.streams.get((rank, DP))
+        overlap_dp = self.dp_active and impl.dp_overlap and dp_q is not None
+
+        # The op loop below runs once per instruction of every simulated
+        # configuration — the search's hottest Python.  Attribute lookups
+        # are hoisted and the group key inlined rather than closed over.
+        forward_kind = OpKind.FORWARD
+        forward_times = self.forward_times
+        backward_times = self.backward_times
+        last_stage = self.n_stages - 1
+        pp_time = self.pp_time
+        pp_launch = self.pp_launch
+        labelled = self.record_events
+        sharded_full = self.sharded_full
+        sharded_overlap = sharded_full and overlap_dp
+        kind_tag = _KIND_TAG
+        compute_append = compute_q.append
+        pp_append = pp_q.append
+        # Only DP_FS repeats its network operations per group (Eqs.
+        # 24-26); with DP0/DP_PS gradients accumulate locally and each
+        # stage reduces exactly once per batch.  One list, computed once,
+        # keys both the last-use prefill and the emission loop below.
+        schedule_kind = self.schedule.kind
+        n_pp = self.schedule.n_pp
+        seq = self.schedule.sequence_size
+        if sharded_full:
+            group_keys = [
+                (op.stage, _rep_key(schedule_kind, op.microbatch, n_pp, seq))
+                for op in order
+            ]
+        else:
+            group_keys = [(op.stage, 0) for op in order]
+
+        # Positions of each DP group's last forward/backward: the last use
+        # must wait for the *whole* gather (Eq. 29 — a pass's
+        # reconstruction can only hide behind other micro-batches), and
+        # the reduction follows the last backward.
+        last_fwd_of_group: dict[tuple[int, int], int] = {}
+        last_bwd_of_group: dict[tuple[int, int], int] = {}
+        if overlap_dp:
+            for position, op in enumerate(order):
+                if op.kind is forward_kind:
+                    last_fwd_of_group[group_keys[position]] = position
+                else:
+                    last_bwd_of_group[group_keys[position]] = position
+
+        gather_uids_fwd: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        gather_uids_bwd: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        reduce_heads: list[tuple] = []
+
+        for position, op in enumerate(order):
+            stage = op.stage
+            microbatch = op.microbatch
+            is_forward = op.kind is forward_kind
+            group = group_keys[position]
+            if is_forward:
+                deps = (("XA", microbatch, stage - 1),) if stage > 0 else ()
+                if sharded_overlap:
+                    if group not in gather_uids_fwd:
+                        gather_uids_fwd[group] = self._emit_split(
+                            dp_q,
+                            "GF",
+                            stage,
+                            group[1],
+                            self.gather_times[stage],
+                            "gather",
+                        )
+                    head, tail = gather_uids_fwd[group]
+                    deps += (head,)
+                    if last_fwd_of_group.get(group) == position:
+                        deps += (tail,)
+                duration = forward_times[stage]
+                category = "forward"
+                produces_send = stage < last_stage
+            else:
+                if stage < last_stage:
+                    deps = (
+                        ("F", microbatch, stage),
+                        ("XG", microbatch, stage + 1),
+                    )
+                else:
+                    deps = (("F", microbatch, stage),)
+                if sharded_overlap:
+                    if group not in gather_uids_bwd:
+                        gather_uids_bwd[group] = self._emit_split(
+                            dp_q,
+                            "GB",
+                            stage,
+                            group[1],
+                            self.gather_times[stage],
+                            "gather",
+                        )
+                    head, tail = gather_uids_bwd[group]
+                    deps += (head,)
+                    if last_bwd_of_group.get(group) == position:
+                        deps += (tail,)
+                duration = backward_times[stage]
+                category = "backward"
+                produces_send = stage > 0
+
+            # Issuing an overlapped transfer still costs the compute
+            # stream its launch overhead.
+            if produces_send:
+                duration += pp_launch
+
+            uid = (kind_tag[op.kind], microbatch, stage)
+            compute_append(
+                Instruction(
+                    uid=uid,
+                    duration=duration,
+                    deps=deps,
+                    label=str(op) if labelled else "",
+                    category=category,
+                )
+            )
+
+            if produces_send:
+                if is_forward:
+                    pp_append(
+                        Instruction(
+                            uid=("XA", microbatch, stage),
+                            duration=pp_time,
+                            deps=(uid,),
+                            label=(
+                                f"send-act(mb={microbatch}, s={stage})"
+                                if labelled
+                                else ""
+                            ),
+                            category="pp_comm",
+                        )
+                    )
+                else:
+                    pp_append(
+                        Instruction(
+                            uid=("XG", microbatch, stage),
+                            duration=pp_time,
+                            deps=(uid,),
+                            label=(
+                                f"send-grad(mb={microbatch}, s={stage})"
+                                if labelled
+                                else ""
+                            ),
+                            category="pp_comm",
+                        )
+                    )
+
+            # Gradient reduction once the group's last backward ran: the
+            # bulk may overlap that backward (real reductions trail the
+            # per-layer backward front), only the head strictly follows it.
+            if overlap_dp and last_bwd_of_group.get(group) == position:
+                bulk_deps = (_uid_of(order[position - 1]),) if position else ()
+                head, _ = self._emit_split(
+                    dp_q,
+                    "RED",
+                    stage,
+                    group[1],
+                    self.reduce_times[stage],
+                    "reduce",
+                    head_deps=(uid,),
+                    bulk_deps=bulk_deps,
+                    head_last=True,
+                )
+                reduce_heads.append(head)
+
+        # Tail: serial DP block (Megatron mode), optimizer, post-step gather.
+        opt_deps: list[tuple] = list(reduce_heads)
+        if self.dp_active and not impl.dp_overlap:
+            compute_q.append(
+                Instruction(
+                    uid=("DPALL", rank),
+                    duration=self.dp_serial_times[rank],
+                    deps=(),
+                    label=f"dp-all(rank={rank})",
+                    category="dp_comm",
+                )
+            )
+            opt_deps.append(("DPALL", rank))
+
+        compute_q.append(
+            Instruction(
+                uid=("OPT", rank),
+                duration=cost.optimizer_time(rank),
+                deps=tuple(opt_deps),
+                label=f"optimizer(rank={rank})",
+                category="optimizer",
+            )
+        )
+
+        if overlap_dp and config.sharding is Sharding.PARTIAL:
+            dp_q.append(
+                Instruction(
+                    uid=("POST", rank),
+                    duration=self.post_gather_times[rank],
+                    deps=(("OPT", rank),),
+                    label=f"post-gather(rank={rank})",
+                    category="gather",
+                )
+            )
 
 
 def _pr5_candidate_bound(cost, memory):
@@ -654,15 +998,13 @@ def _pr5_simulate_stage(
                 break
             n_pruned += 1
             continue
-        result = simulate(
-            spec,
-            candidate.config,
-            cluster,
-            implementation=candidate.implementation,
-            calibration=calibration,
-            schedule=candidate.schedule,
-            memory=candidate.memory,
-            cost=candidate.cost,
+        streams = _FrozenProgramBuilder(
+            candidate.cost, candidate.schedule, record_events=False
+        ).build()
+        result = _assemble_result(
+            candidate.cost,
+            candidate.memory,
+            run_streams(streams, record_events=False),
         )
         n_tried += 1
         state.observe(result)
@@ -708,18 +1050,20 @@ def _best_of(fn, rounds=2):
     return value, best
 
 
-def test_search_speedup_vs_seed(benchmark):
+def test_search_speedup_vs_seed(benchmark, bench_record):
     # Bound pruning off: this guard isolates the engine/program/caching
     # speedup, so both sides must simulate every feasible candidate (and
     # report identical n_tried); the pruning stage has its own guard in
     # test_bound_pruning_speedup below.
-    cached_schedule.cache_clear()  # cold caches: measure a fresh cell
-    stage_time_table.cache_clear()
-    new_outcome, new_time = _best_of(
-        lambda: best_configuration(
+    def fresh_cell():
+        # Cold caches every round: the timing includes pricing, schedule
+        # builds and compiling every program topology the cell needs.
+        _cold_caches()
+        return best_configuration(
             SPEC, CLUSTER, METHOD, BATCH, settings=PRUNE_OFF
         )
-    )
+
+    new_outcome, new_time = _best_of(fresh_cell)
     (seed_best, seed_tried, seed_excluded), seed_time = _best_of(
         lambda: _seed_best_configuration(SPEC, CLUSTER, METHOD, BATCH)
     )
@@ -743,7 +1087,7 @@ def test_search_speedup_vs_seed(benchmark):
         f"event-driven {new_time:.2f}s, speedup {speedup:.1f}x"
     )
     record_entry(
-        TRAJECTORY_PATH,
+        bench_record,
         bench="search_vs_seed",
         seconds=new_time,
         cell={"model": "52B", "method": METHOD.name, "batch": BATCH},
@@ -761,7 +1105,7 @@ def test_search_speedup_vs_seed(benchmark):
     )
 
 
-def test_bound_pruning_speedup(benchmark):
+def test_bound_pruning_speedup(benchmark, bench_record):
     """Branch-and-bound guard: >= 2x on a Figure 7 cell, same winner."""
 
     def run(settings: SearchSettings):
@@ -769,6 +1113,7 @@ def test_bound_pruning_speedup(benchmark):
         # schedules or stage-time tables.
         cached_schedule.cache_clear()
         stage_time_table.cache_clear()
+        compiled_topology.cache_clear()
         return best_configuration(
             MODEL_6_6B, CLUSTER, BNB_METHOD, BNB_BATCH, settings=settings
         )
@@ -795,7 +1140,7 @@ def test_bound_pruning_speedup(benchmark):
         f"({full.n_tried} simulated), speedup {speedup:.1f}x"
     )
     record_entry(
-        TRAJECTORY_PATH,
+        bench_record,
         bench="bound_pruning",
         seconds=pruned_time,
         cell={"model": "6.6B", "method": BNB_METHOD.name, "batch": BNB_BATCH},
@@ -844,9 +1189,9 @@ def _cold_caches():
     """Empty every shared memo, so a grid run prices everything itself.
 
     Includes the batched pipeline's own family caches (bound partials,
-    comm rank sums, per-rank memory params) — the comparison is two
-    fresh processes each searching the grid, not a warm new pipeline
-    against a cold old one.
+    comm rank sums, per-rank memory params) and the compiled program
+    topologies — the comparison is two fresh processes each searching
+    the grid, not a warm new pipeline against a cold old one.
     """
     from repro.analytical.memory import _rank_param_groups, _rank_param_table
     from repro.sim.cost_batch import bound_partials, comm_rank_sums
@@ -858,14 +1203,15 @@ def _cold_caches():
     comm_rank_sums.cache_clear()
     _rank_param_table.cache_clear()
     _rank_param_groups.cache_clear()
+    compiled_topology.cache_clear()
 
 
-def test_batched_grid_speedup(benchmark):
+def test_batched_grid_speedup(benchmark, bench_record):
     """Batched-evaluation guard: >= 10x on the non-looped grid, same winners.
 
     Each side runs the whole grid from cold caches (warm *within* the
-    grid, as a real sweep would be), min-of-rounds; the winners must be
-    byte-identical cell for cell.
+    grid, as a real sweep would be), min of three interleaved rounds;
+    the winners must be byte-identical cell for cell.
     """
 
     def run_grid(search):
@@ -882,8 +1228,14 @@ def test_batched_grid_speedup(benchmark):
             spec, CLUSTER, GRID_METHOD, batch, BATCH_PR5
         )
 
-    new_outcomes, new_time = _best_of(lambda: run_grid(batched))
-    pr5_outcomes, pr5_time = _best_of(lambda: run_grid(pr5))
+    # Rounds alternate between the sides, so a slow spell of the host
+    # cannot fall on one side's rounds only; each side keeps its best.
+    new_time = pr5_time = float("inf")
+    for _ in range(3):
+        new_outcomes, seconds = _best_of(lambda: run_grid(batched), rounds=1)
+        new_time = min(new_time, seconds)
+        pr5_outcomes, seconds = _best_of(lambda: run_grid(pr5), rounds=1)
+        pr5_time = min(pr5_time, seconds)
     benchmark.pedantic(lambda: run_grid(batched), rounds=1)
 
     # Byte-identical winners and exclusion accounting on every cell (the
@@ -911,7 +1263,7 @@ def test_batched_grid_speedup(benchmark):
         f"{new_time:.2f}s ({n_simulated} simulated), speedup {speedup:.1f}x"
     )
     record_entry(
-        TRAJECTORY_PATH,
+        bench_record,
         bench="batched_grid",
         seconds=new_time,
         cell={
@@ -954,7 +1306,7 @@ PLANE_WORKERS = 4
 MIN_PLANE_SPEEDUP = 3.0
 
 
-def test_shared_pricing_sweep_speedup(benchmark, tmp_path):
+def test_shared_pricing_sweep_speedup(benchmark, tmp_path, bench_record):
     """Shared-plane guard: >= 3x less pricing work, byte-identical sweeps.
 
     **What is gated.**  The aggregate pricing work of a 4-worker
@@ -1119,7 +1471,7 @@ def test_shared_pricing_sweep_speedup(benchmark, tmp_path):
         f"{on_seconds:.2f}s (unguarded)"
     )
     record_entry(
-        TRAJECTORY_PATH,
+        bench_record,
         bench="shared_pricing_sweep",
         seconds=plane_work,
         cell={
@@ -1144,7 +1496,7 @@ def test_shared_pricing_sweep_speedup(benchmark, tmp_path):
     )
 
 
-def test_obs_disabled_overhead(benchmark):
+def test_obs_disabled_overhead(benchmark, bench_record):
     """Observability guard: disabled instrumentation costs <= 2%.
 
     Both sides run the guarded 52B cell with pruning off (the largest
@@ -1176,18 +1528,23 @@ def test_obs_disabled_overhead(benchmark):
     # runs of a pair are adjacent in time, so machine-load windows
     # cancel within the pair, and the median rejects outlier pairs —
     # a 2% gate needs both, a plain ratio-of-mins flakes on loaded
-    # boxes.
+    # boxes.  Which side runs first alternates between pairs.
+    def timed(fn):
+        t0 = time.perf_counter()
+        outcome = fn()
+        return outcome, time.perf_counter() - t0
+
     baseline_time = instr_time = float("inf")
     baseline_outcome = instr_outcome = None
     ratios = []
-    for _ in range(8):
-        t0 = time.perf_counter()
-        baseline_outcome = pre_obs()
-        pair_baseline = time.perf_counter() - t0
+    for pair in range(OBS_PAIRS):
+        if pair % 2:
+            instr_outcome, pair_instr = timed(instrumented)
+            baseline_outcome, pair_baseline = timed(pre_obs)
+        else:
+            baseline_outcome, pair_baseline = timed(pre_obs)
+            instr_outcome, pair_instr = timed(instrumented)
         baseline_time = min(baseline_time, pair_baseline)
-        t0 = time.perf_counter()
-        instr_outcome = instrumented()
-        pair_instr = time.perf_counter() - t0
         instr_time = min(instr_time, pair_instr)
         ratios.append(pair_instr / pair_baseline)
     benchmark.pedantic(instrumented, rounds=1)
@@ -1208,7 +1565,7 @@ def test_obs_disabled_overhead(benchmark):
         f"{len(ratios)} paired ratios)"
     )
     record_entry(
-        TRAJECTORY_PATH,
+        bench_record,
         bench="obs_disabled_overhead",
         seconds=instr_time,
         cell={"model": "52B", "method": METHOD.name, "batch": BATCH},

@@ -14,9 +14,9 @@ Two invariants of the planner service (this PR's claim), guarded in CI:
    the defining invariant of request coalescing (without it, N
    identical concurrent queries each pay a full search).
 
-Both tests append trajectory entries to ``benchmarks/BENCH_search.json``
-(see :mod:`repro.obs.trajectory`) so the latency history accumulates
-per commit next to the search-speedup history.
+Both tests append trajectory entries to the file named by
+``--bench-record`` (see :mod:`repro.obs.trajectory`) so the latency
+history accumulates per commit next to the search-speedup history.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +31,6 @@ from repro.obs import MetricsRegistry, recording
 from repro.obs.trajectory import record_entry
 from repro.planner import Planner, PlanRequest
 
-TRAJECTORY_PATH = Path(__file__).resolve().parent / "BENCH_search.json"
 
 MODEL, CLUSTER, METHOD = "6.6B", "dgx1-64", "Breadth-first"
 
@@ -61,7 +59,7 @@ def store_dir(tmp_path_factory):
     return root
 
 
-def test_exact_hit_latency_budget(store_dir, benchmark):
+def test_exact_hit_latency_budget(store_dir, benchmark, bench_record):
     request = _request(8)
     with Planner(store_dir) as planner:
 
@@ -85,7 +83,7 @@ def test_exact_hit_latency_budget(store_dir, benchmark):
         f"p50 {p50 * 1e3:.2f} ms, max {max(latencies) * 1e3:.2f} ms"
     )
     record_entry(
-        TRAJECTORY_PATH,
+        bench_record,
         bench="planner_exact_hit",
         seconds=p50,
         cell={"model": MODEL, "method": METHOD, "batch": 8},
@@ -102,7 +100,7 @@ def test_exact_hit_latency_budget(store_dir, benchmark):
     )
 
 
-def test_coalescing_invariant_under_load(store_dir):
+def test_coalescing_invariant_under_load(store_dir, bench_record):
     """A mixed burst runs exactly one search for N identical cold cells."""
     cold = _request(32)  # not in the store: every copy needs the search
     hot = _request(8)
@@ -139,7 +137,7 @@ def test_coalescing_invariant_under_load(store_dir):
         f"{counters.get('planner.coalesced', 0):.0f} coalesced"
     )
     record_entry(
-        TRAJECTORY_PATH,
+        bench_record,
         bench="planner_coalescing",
         seconds=elapsed,
         cell={"model": MODEL, "method": METHOD, "batch": 32},

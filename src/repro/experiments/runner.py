@@ -617,8 +617,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--no-batch-eval",
         action="store_true",
-        help="disable family-batched evaluation (vectorized cost pricing "
-             "and sibling delta replay); outcomes are byte-identical, "
+        help="disable family-batched evaluation (vectorized cost "
+             "pricing); outcomes are byte-identical, "
              "only slower — the escape hatch for validating batching",
     )
     parser.add_argument(

@@ -13,10 +13,13 @@ JSON list of entries, one per benchmark execution::
       "counters": {"search.candidates.pruned": 1234, ...}
     }
 
-``benchmarks/test_engine_perf.py`` records its timed cells here and CI
-uploads the file as an artifact, so the perf history accumulates across
-commits.  Writing is best-effort and tolerant: a corrupt existing file
-is replaced rather than crashing the benchmark that tried to append.
+``benchmarks/test_engine_perf.py`` records its timed cells into the file
+named by ``pytest --bench-record PATH`` and CI uploads that file as an
+artifact, so the perf history accumulates across commits.  A run without
+an output path records nothing, so running the test suite never
+rewrites a tracked file.  Writing is best-effort and tolerant: a corrupt
+existing file is replaced rather than crashing the benchmark that tried
+to append.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def load_trajectory(path: str | os.PathLike) -> dict:
 
 
 def record_entry(
-    path: str | os.PathLike,
+    path: str | os.PathLike | None,
     *,
     bench: str,
     seconds: float,
@@ -85,14 +88,15 @@ def record_entry(
 ) -> dict:
     """Append one entry to the trajectory at ``path``; returns the entry.
 
-    One entry per (bench, commit): re-running a benchmark on the same
-    commit replaces its previous measurement instead of growing the
-    file, so local reruns stay idempotent while every new commit adds a
-    trajectory point.  The file is rewritten whole (entries stay a valid
-    JSON list at every point in history); concurrent benchmark processes
-    are not expected — pytest runs the benchmark module serially.
+    With ``path=None`` the entry is built and returned but nothing is
+    written.  One entry per (bench, commit): re-running a benchmark on
+    the same commit replaces its previous measurement instead of growing
+    the file, so local reruns stay idempotent while every new commit adds
+    a trajectory point.  The file is replaced whole through a temporary
+    file and ``os.replace``, so it is a valid JSON list at every point in
+    history, even if the writer dies; concurrent benchmark processes are
+    not expected — pytest runs the benchmark module serially.
     """
-    trajectory = load_trajectory(path)
     entry = {
         "bench": bench,
         "commit": commit if commit is not None else current_commit(repo_root),
@@ -101,6 +105,9 @@ def record_entry(
         "seconds": seconds,
         "counters": dict(counters) if counters else {},
     }
+    if path is None:
+        return entry
+    trajectory = load_trajectory(path)
     trajectory["entries"] = [
         e
         for e in trajectory["entries"]
@@ -113,7 +120,9 @@ def record_entry(
     trajectory["entries"].append(entry)
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    tmp.write_text(
         json.dumps(trajectory, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    os.replace(tmp, out)
     return entry

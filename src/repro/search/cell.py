@@ -62,8 +62,7 @@ class SearchSettings:
             way), so it is deliberately *not* part of checkpoint
             content hashes.
         batch_eval: Evaluate each cell as a family walk — vectorized
-            batch pricing of surviving config families plus delta
-            replay between sibling simulations (see the
+            batch pricing of surviving config families (see the
             :mod:`repro.search.grid` module docstring).  On by default;
             ``--no-batch-eval`` is the escape hatch.  Winners,
             frontiers, counters and checkpoint keys are byte-identical

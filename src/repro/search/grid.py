@@ -33,20 +33,18 @@ never pruned (strict inequality), and equal-throughput ties resolve via
 ``ParallelConfig.sort_key`` regardless of evaluation order.
 
 **Batched evaluation** (``SearchSettings.batch_eval``, on by default;
-``--no-batch-eval`` is the escape hatch): the pipeline additionally walks
-the cell's config *families* — a cell's candidates are overwhelmingly
-siblings along one axis — composing three accelerations that each
-preserve the outcome bit-for-bit:
+``--no-batch-eval`` is the escape hatch): the memory-feasible config
+*families* — a cell's candidates are overwhelmingly siblings along one
+axis — are priced in one vectorized pass
+(:func:`repro.sim.cost_batch.warm_family_tables`, bit-identical by the
+hypothesis parity suite) before any bound is computed.  Batching changes
+where the table floats come from, never *which* candidates are simulated
+or *when*.
 
-- the memory-feasible families are priced in one vectorized pass
-  (:func:`repro.sim.cost_batch.warm_family_tables`, bit-identical by the
-  hypothesis parity suite) before any bound is computed;
-- the simulate stage replays only event-graph deltas between sibling
-  candidates of a family (:func:`repro.sim.simulator.simulate_delta`,
-  bit-exact with automatic full-simulation fallback);
-- the visit order is untouched — delta bases are keyed by family, so
-  batching changes *how* a candidate is evaluated, never *which* or
-  *when*.
+**Simulation** always goes through :func:`repro.sim.simulator.simulate`,
+which replays each candidate's durations through its program's compiled
+topology (:mod:`repro.sim.topology`): a cell's candidates share a few
+program structures, each lowered and sorted once per process.
 
 Winners, frontiers, the ``n_tried``/``n_excluded``/``n_pruned`` split and
 checkpoint keys are therefore byte-identical with batching on or off
@@ -64,7 +62,7 @@ from repro.core.schedules.base import Schedule, build_schedule
 from repro.hardware.cluster import ClusterSpec
 from repro.models.spec import TransformerSpec
 from repro.obs import get_recorder
-from repro.parallel.config import Method, ParallelConfig, ScheduleKind, Sharding
+from repro.parallel.config import Method, ParallelConfig, ScheduleKind
 from repro.search.cell import DEFAULT_SETTINGS, SearchSettings
 from repro.search.objective import Objective
 from repro.search.space import configuration_space
@@ -72,12 +70,7 @@ from repro.sim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.sim.cost import CostModel, WarmStartSeed, comm_time_table, stage_time_table
 from repro.sim.cost_batch import warm_family_tables, warm_seed_caches
 from repro.sim.implementation import ImplementationProfile
-from repro.sim.simulator import (
-    SimulationBase,
-    SimulationResult,
-    simulate,
-    simulate_delta,
-)
+from repro.sim.simulator import SimulationResult, simulate
 
 #: Fraction of device memory usable before fragmentation makes OOM likely
 #: (Appendix D.2 motivates the safety margin).  Always applied; an
@@ -369,52 +362,6 @@ def _order_best_bound_first(candidates: list[Candidate]) -> list[Candidate]:
     )
 
 
-#: Delta-replay bases kept alive per cell.  Families are visited in
-#: bound order, not grouped, so a small FIFO window catches the common
-#: sibling pairs without holding every family's streams in memory.
-_MAX_DELTA_BASES = 8
-
-
-def _delta_eligible(candidate: Candidate) -> bool:
-    """Whether ``candidate`` may be delta-replayed against a sibling.
-
-    Fully-sharded configurations re-gather weights *inside* the compute
-    stream, so their event graphs differ from a sibling's everywhere and
-    the replay would always fall back; same for non-overlapping DP,
-    where grad-reduce serializes after the pipeline.  Restricting to
-    overlapping NONE/PARTIAL siblings keeps the delta attempt rate
-    honest (the ``search.delta.fallback`` counter stays near zero).
-    """
-    config = candidate.config
-    return (
-        config.n_dp > 1
-        and candidate.implementation.dp_overlap
-        and config.sharding is not Sharding.FULL
-    )
-
-
-def _delta_key(candidate: Candidate) -> tuple:
-    """Sibling group of a candidate: everything but the sharding mode.
-
-    Two candidates with the same key build programs that differ only in
-    the gradient-reduce/gather instruction durations and tails — the
-    exact shape :func:`repro.sim.engine.run_streams_delta` replays
-    cheaply.
-    """
-    config = candidate.config
-    return (
-        candidate.implementation.name,
-        config.schedule,
-        config.sequence_size,
-        config.n_pp,
-        config.n_loop,
-        config.microbatch_size,
-        config.n_tp,
-        config.n_dp,
-        config.n_microbatches,
-    )
-
-
 def _simulate_stage(
     spec: TransformerSpec,
     cluster: ClusterSpec,
@@ -423,7 +370,6 @@ def _simulate_stage(
     objective: Objective,
     *,
     bound_pruning: bool,
-    batch_eval: bool = False,
     method_label: str = "",
 ) -> tuple[SimulationResult | None, int, int, tuple[SimulationResult, ...] | None]:
     """Stage 3: simulate under per-objective branch-and-bound.
@@ -435,14 +381,6 @@ def _simulate_stage(
     arrive in decreasing bound order, so everything after the first
     prune is prunable too and the stage stops there; non-monotone
     objectives (Pareto) test every candidate individually.
-
-    With ``batch_eval``, eligible candidates go through
-    :func:`repro.sim.simulator.simulate_delta` keyed by sibling group:
-    the first member of a group simulates fully and becomes the base,
-    later members replay only the differing event-graph suffix.  The
-    visit order, the prune decisions and every
-    :class:`~repro.sim.simulator.SimulationResult` are bit-identical to
-    the plain path (``tests/test_batched_grid.py``).
     """
     rec = get_recorder()
     # One flag read per cell keeps the per-candidate loop free of
@@ -452,9 +390,6 @@ def _simulate_stage(
     state = objective.new_state()
     n_tried = 0
     n_pruned = 0
-    bases: dict[tuple, SimulationBase] = {}
-    n_replayed = 0
-    n_fallback = 0
     for position, candidate in enumerate(ordered):
         if bound_pruning and state.prunable(candidate.bound):
             if state.monotone:
@@ -462,38 +397,16 @@ def _simulate_stage(
                 break
             n_pruned += 1
             continue
-        if batch_eval and _delta_eligible(candidate):
-            key = _delta_key(candidate)
-            base = bases.get(key)
-            result, new_base, replayed = simulate_delta(
-                spec,
-                candidate.config,
-                cluster,
-                base=base,
-                calibration=calibration,
-                schedule=candidate.materialized_schedule(),
-                memory=candidate.memory,
-                cost=candidate.cost,
-            )
-            if key not in bases and len(bases) >= _MAX_DELTA_BASES:
-                bases.pop(next(iter(bases)))
-            bases[key] = new_base
-            if base is not None:
-                if replayed:
-                    n_replayed += 1
-                else:
-                    n_fallback += 1
-        else:
-            result = simulate(
-                spec,
-                candidate.config,
-                cluster,
-                implementation=candidate.implementation,
-                calibration=calibration,
-                schedule=candidate.materialized_schedule(),
-                memory=candidate.memory,
-                cost=candidate.cost,
-            )
+        result = simulate(
+            spec,
+            candidate.config,
+            cluster,
+            implementation=candidate.implementation,
+            calibration=calibration,
+            schedule=candidate.materialized_schedule(),
+            memory=candidate.memory,
+            cost=candidate.cost,
+        )
         n_tried += 1
         if track:
             bound = candidate.bound.step_time_bound
@@ -508,9 +421,6 @@ def _simulate_stage(
             )[0]
             rec.count(f"search.bound.binding.{binding}")
         state.observe(result)
-    if track:
-        rec.count("search.delta.replayed", n_replayed)
-        rec.count("search.delta.fallback", n_fallback)
     return state.best(), n_tried, n_pruned, state.frontier()
 
 
@@ -582,7 +492,6 @@ def best_configuration(
                 ordered,
                 settings.objective,
                 bound_pruning=settings.bound_pruning,
-                batch_eval=settings.batch_eval,
                 method_label=method.name,
             )
     if rec.enabled:

@@ -103,7 +103,7 @@ class SweepOptions:
             see :class:`repro.search.cell.SearchSettings`).  A pure
             post-check — not part of checkpoint content hashes.
         batch_eval: Family-batched evaluation in every cell — vectorized
-            pricing plus sibling delta replay (``--no-batch-eval`` on
+            family pricing (``--no-batch-eval`` on
             the experiments CLI turns it off; see
             :class:`repro.search.cell.SearchSettings`).  Outcome-neutral
             by contract, so not part of checkpoint content hashes.

@@ -18,18 +18,58 @@ gather/reduce is split into a one-layer *head* — the only part that truly
 gates or trails compute — and a *bulk* that pipelines against it on the
 DP stream, which provides backpressure when the network, not compute, is
 the bottleneck.
+
+Lowering is split in two.  The program's *structure* — which
+instructions exist, on which stream, in which order, waiting on what —
+depends only on a :class:`ProgramShape`; each instruction carries a
+duration *slot* instead of a duration.  The durations are a per-candidate
+value vector (:func:`duration_values`) indexed by those slots.
+:func:`build_program` joins the two into :class:`~repro.sim.engine
+.Instruction` queues; :mod:`repro.sim.topology` compiles the structure
+once per shape and replays any candidate's value vector through it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
 from repro.core.ops import ComputeOp, OpKind
+from repro.core.placement import Placement
 from repro.core.schedules.base import Schedule, dpfs_repetition_key as _rep_key
-from repro.parallel.config import Sharding
+from repro.parallel.config import ScheduleKind, Sharding
 from repro.sim.cost import CostModel
 from repro.sim.engine import Instruction
 
 #: Stream names.
 COMPUTE, PP, DP = "compute", "pp", "dp"
+
+#: Data-parallel placement of a program (:attr:`ProgramShape.dp`): no
+#: data parallelism, per-stage collectives on an overlapping "dp" stream,
+#: or one serial block on the compute stream after the backward pass.
+DP_NONE, DP_OVERLAP, DP_SERIAL = 0, 1, 2
+
+#: Duration slots of stage ``s`` start at ``s * STAGE_SLOTS``: forward and
+#: backward without and with the launch cost of an overlapped send, then
+#: the stage's gather and reduce, each whole, head and bulk.
+(
+    FORWARD,
+    FORWARD_SEND,
+    BACKWARD,
+    BACKWARD_SEND,
+    GATHER,
+    GATHER_HEAD,
+    GATHER_BULK,
+    REDUCE,
+    REDUCE_HEAD,
+    REDUCE_BULK,
+) = range(10)
+STAGE_SLOTS = 10
+#: Duration slots of rank ``r`` start at ``n_stages * STAGE_SLOTS + r *
+#: RANK_SLOTS``: one pipeline transfer, the serial DP block, the
+#: optimizer step and the post-step gather.
+PP_TRANSFER, DP_SERIAL_BLOCK, OPTIMIZER, POST_GATHER = range(4)
+RANK_SLOTS = 4
 
 #: Enum -> uid tag without the per-access ``.value`` descriptor cost.
 _KIND_TAG = {kind: kind.value for kind in OpKind}
@@ -39,69 +79,155 @@ def _uid_of(op: ComputeOp) -> tuple:
     return (_KIND_TAG[op.kind], op.microbatch, op.stage)
 
 
-class _ProgramBuilder:
-    """Accumulates instruction queues for one configuration.
+class ProgramShape(NamedTuple):
+    """Everything that decides a lowered program's structure.
 
-    Per-stage durations are evaluated once up front: the cost model
-    recomputes placement boundaries and network lookups on every call,
-    which dominated the grid search when charged per instruction.  With
-    ``record_events=False`` no label strings are built either, so
-    search-mode programs allocate nothing that only a timeline would read.
+    Two candidates with equal shapes lower to the same instructions,
+    streams, order and dependencies; only their durations differ.
+
+    Attributes:
+        kind, n_pp, n_microbatches, n_loop, sequence_size: The schedule.
+        pp_overlap: Pipeline transfers run on their own stream.
+        dp: :data:`DP_NONE`, :data:`DP_OVERLAP` or :data:`DP_SERIAL`.
+        full_sharding: Overlapped DP_FS (per-group weight gathers).
+        partial_sharding: Overlapped DP_PS (post-step weight gather).
+        single_layer: Bitmask of one-layer stages, whose collectives are
+            not split into head and bulk (overlapped DP only, else 0).
+    """
+
+    kind: ScheduleKind
+    n_pp: int
+    n_microbatches: int
+    n_loop: int
+    sequence_size: int | None
+    pp_overlap: bool
+    dp: int
+    full_sharding: bool
+    partial_sharding: bool
+    single_layer: int
+
+    @property
+    def n_stages(self) -> int:
+        return self.n_pp * self.n_loop
+
+
+@lru_cache(maxsize=1024)
+def _layer_split(placement: Placement) -> tuple[tuple[float, ...], int]:
+    """Per-stage head fractions and the one-layer-stage bitmask."""
+    fractions = tuple(
+        1.0 / placement.n_layers_of_stage(s) for s in range(placement.n_stages)
+    )
+    single = 0
+    for stage, frac in enumerate(fractions):
+        if frac >= 1.0:
+            single |= 1 << stage
+    return fractions, single
+
+
+def program_shape(cost: CostModel, schedule: Schedule) -> ProgramShape:
+    """The structure key of ``schedule`` lowered under ``cost``."""
+    config = cost.config
+    impl = cost.implementation
+    if config.n_dp <= 1:
+        dp = DP_NONE
+    elif impl.dp_overlap:
+        dp = DP_OVERLAP
+    else:
+        dp = DP_SERIAL
+    overlap = dp == DP_OVERLAP
+    return ProgramShape(
+        kind=schedule.kind,
+        n_pp=schedule.n_pp,
+        n_microbatches=schedule.n_microbatches,
+        n_loop=schedule.n_loop,
+        sequence_size=schedule.sequence_size,
+        pp_overlap=impl.pp_overlap,
+        dp=dp,
+        full_sharding=overlap and config.sharding is Sharding.FULL,
+        partial_sharding=overlap and config.sharding is Sharding.PARTIAL,
+        single_layer=_layer_split(cost.placement)[1] if overlap else 0,
+    )
+
+
+def duration_values(cost: CostModel, shape: ProgramShape) -> list[float]:
+    """The duration of every slot of ``shape`` under ``cost``.
+
+    Each value is computed with exactly the float operations the
+    instruction it prices always used (a forward that sends is
+    ``forward + launch``, a gather head ``gather * (1 / n_layers)``), so
+    programs and simulations are bit-identical however they are built.
+    Slots the shape never references hold 0.0.
+    """
+    # Per-stage durations come from the memoized family table
+    # (repro.sim.cost.stage_time_table): candidates differing only in
+    # n_dp / n_mb / sharding / schedule share one computation, within a
+    # search cell and across adjacent batch-size cells of a sweep.
+    times = cost.stage_times()
+    forward = times.forward
+    backward = times.backward
+    launch = times.pp_launch
+    values: list[float] = []
+    if shape.dp == DP_OVERLAP:
+        # DP-collective durations come from the memoized comm-family
+        # table (repro.sim.cost.comm_time_table): one gather/reduce
+        # pricing pass per (n_pp, n_loop, n_tp, n_dp, sharding) family.
+        comm = cost.comm_times()
+        gather = comm.gather
+        reduce = comm.reduce
+        fractions = _layer_split(cost.placement)[0]
+        for s in range(shape.n_stages):
+            f = forward[s]
+            b = backward[s]
+            g = gather[s]
+            r = reduce[s]
+            frac = fractions[s]
+            values += (
+                f, f + launch, b, b + launch,
+                g, g * frac, g * (1.0 - frac),
+                r, r * frac, r * (1.0 - frac),
+            )
+    else:
+        comm = cost.comm_times() if shape.dp == DP_SERIAL else None
+        for s in range(shape.n_stages):
+            f = forward[s]
+            b = backward[s]
+            values += (f, f + launch, b, b + launch, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    pp = times.pp_transfer
+    for rank in range(shape.n_pp):
+        values += (
+            pp,
+            comm.dp_serial[rank] if shape.dp == DP_SERIAL else 0.0,
+            cost.optimizer_time(rank),
+            comm.post_gather[rank] if shape.partial_sharding else 0.0,
+        )
+    return values
+
+
+class _ProgramBuilder:
+    """Accumulates the instruction queues of one program shape.
+
+    Instructions are emitted as ``(uid, slot, deps, label, category)``
+    tuples.  With ``labelled=False`` no compute-op label strings are
+    built, so search-mode structures allocate nothing that only a
+    timeline would read.
     """
 
     def __init__(
-        self, cost: CostModel, schedule: Schedule, *, record_events: bool = True
+        self, schedule: Schedule, shape: ProgramShape, *, labelled: bool
     ) -> None:
-        self.cost = cost
         self.schedule = schedule
-        self.record_events = record_events
-        self.config = cost.config
-        self.impl = cost.implementation
+        self.shape = shape
+        self.labelled = labelled
         self.n_stages = schedule.n_stages
-        self.dp_active = self.config.n_dp > 1
-        self.sharded_full = (
-            self.config.sharding is Sharding.FULL and self.dp_active
-        )
-        # Per-stage durations come from the memoized family table
-        # (repro.sim.cost.stage_time_table): candidates differing only in
-        # n_dp / n_mb / sharding / schedule share one computation, within
-        # a search cell and across adjacent batch-size cells of a sweep.
-        times = cost.stage_times()
-        self.pp_time = times.pp_transfer
-        self.pp_launch = times.pp_launch
-        self.forward_times = times.forward
-        self.backward_times = times.backward
-        stages = range(self.n_stages)
-        self.head_fractions = [
-            1.0 / cost.placement.n_layers_of_stage(s) for s in stages
-        ]
-        if self.dp_active:
-            # DP-collective durations come from the memoized comm-family
-            # table (repro.sim.cost.comm_time_table): one gather/reduce
-            # pricing pass per (n_pp, n_loop, n_tp, n_dp, sharding)
-            # family serves every schedule, micro-batch shape and batch
-            # size that shares it — the warm-start counterpart of
-            # stage_time_table for the DP side (the ROADMAP follow-on).
-            comm = cost.comm_times()
-            self.gather_times = comm.gather
-            self.reduce_times = comm.reduce
-            self.post_gather_times = comm.post_gather
-            self.dp_serial_times = comm.dp_serial
-        self.streams: dict[tuple[int, str], list[Instruction]] = {}
-
-    # ----------------------------------------------------------- helpers
-
-    def _head_fraction(self, stage: int) -> float:
-        """Share of a stage's DP volume in one layer (the gating head)."""
-        return self.head_fractions[stage]
+        self.streams: dict[tuple[int, str], list[tuple]] = {}
 
     def _emit_split(
         self,
-        queue: list[Instruction],
+        queue: list[tuple],
         prefix: str,
         stage: int,
         key: int,
-        duration: float,
+        slot: int,
         category: str,
         *,
         head_deps: tuple = (),
@@ -110,42 +236,40 @@ class _ProgramBuilder:
     ) -> tuple[tuple, tuple]:
         """Emit a head+bulk pair on ``queue``; return (head, tail) uids.
 
-        The *head* is one layer's worth of traffic — the only part that
-        strictly gates (gathers) or trails (reductions) compute; the
-        *bulk* pipelines layer-by-layer against compute.  With
-        ``head_last=False`` the head comes first (gathers: compute can
-        start once the first layer arrived); with ``head_last=True`` it
-        comes last (reductions: only the final layer's reduce trails the
-        last backward).  Single-layer stages emit one instruction.
+        ``slot`` is the whole collective's slot; its head and bulk
+        follow it.  The *head* is one layer's worth of traffic — the
+        only part that strictly gates (gathers) or trails (reductions)
+        compute; the *bulk* pipelines layer-by-layer against compute.
+        With ``head_last=False`` the head comes first (gathers: compute
+        can start once the first layer arrived); with ``head_last=True``
+        it comes last (reductions: only the final layer's reduce trails
+        the last backward).  Single-layer stages emit one instruction.
         """
-        frac = self._head_fraction(stage)
-        labelled = self.record_events
+        labelled = self.labelled
         head_uid = (prefix + "H", stage, key)
-        if frac >= 1.0:
-            queue.append(
-                Instruction(
-                    uid=head_uid,
-                    duration=duration,
-                    deps=head_deps,
-                    label=f"{prefix}(s={stage}, g={key})" if labelled else "",
-                    category=category,
-                )
-            )
+        if self.shape.single_layer >> stage & 1:
+            queue.append((
+                head_uid,
+                slot,
+                head_deps,
+                f"{prefix}(s={stage}, g={key})" if labelled else "",
+                category,
+            ))
             return head_uid, head_uid
         bulk_uid = (prefix + "R", stage, key)
-        head = Instruction(
-            uid=head_uid,
-            duration=duration * frac,
-            deps=head_deps,
-            label=f"{prefix}-head(s={stage}, g={key})" if labelled else "",
-            category=category,
+        head = (
+            head_uid,
+            slot + 1,
+            head_deps,
+            f"{prefix}-head(s={stage}, g={key})" if labelled else "",
+            category,
         )
-        bulk = Instruction(
-            uid=bulk_uid,
-            duration=duration * (1.0 - frac),
-            deps=bulk_deps,
-            label=f"{prefix}-bulk(s={stage}, g={key})" if labelled else "",
-            category=category,
+        bulk = (
+            bulk_uid,
+            slot + 2,
+            bulk_deps,
+            f"{prefix}-bulk(s={stage}, g={key})" if labelled else "",
+            category,
         )
         if head_last:
             queue.extend((bulk, head))
@@ -153,40 +277,35 @@ class _ProgramBuilder:
         queue.extend((head, bulk))
         return head_uid, bulk_uid
 
-    # ------------------------------------------------------------- build
-
-    def build(self) -> dict[tuple[int, str], list[Instruction]]:
+    def build(self) -> dict[tuple[int, str], list[tuple]]:
+        shape = self.shape
         for rank in range(self.schedule.n_pp):
             self.streams[(rank, COMPUTE)] = []
-            if self.impl.pp_overlap:
+            if shape.pp_overlap:
                 self.streams[(rank, PP)] = []
-            if self.impl.dp_overlap and self.dp_active:
+            if shape.dp == DP_OVERLAP:
                 self.streams[(rank, DP)] = []
         for rank in range(self.schedule.n_pp):
             self._build_rank(rank)
         return self.streams
 
     def _build_rank(self, rank: int) -> None:
-        cost, config, impl = self.cost, self.config, self.impl
+        shape = self.shape
         order = self.schedule.ops_of(rank)
         compute_q = self.streams[(rank, COMPUTE)]
         pp_q = self.streams.get((rank, PP), compute_q)
         dp_q = self.streams.get((rank, DP))
-        overlap_dp = self.dp_active and impl.dp_overlap and dp_q is not None
+        overlap_dp = dp_q is not None
 
-        # The op loop below runs once per instruction of every simulated
-        # configuration — the search's hottest Python.  Attribute lookups
-        # are hoisted and the group key inlined rather than closed over.
+        # The op loop below runs once per instruction of every lowered
+        # program.  Attribute lookups are hoisted and the group key
+        # inlined rather than closed over.
         forward_kind = OpKind.FORWARD
-        forward_times = self.forward_times
-        backward_times = self.backward_times
         last_stage = self.n_stages - 1
-        pp_time = self.pp_time
-        pp_launch = self.pp_launch
-        labelled = self.record_events
-        sharded_full = self.sharded_full
-        sharded_overlap = sharded_full and overlap_dp
-        kind_tag = _KIND_TAG
+        rank_slot = self.n_stages * STAGE_SLOTS + rank * RANK_SLOTS
+        pp_slot = rank_slot + PP_TRANSFER
+        labelled = self.labelled
+        sharded_overlap = shape.full_sharding
         compute_append = compute_q.append
         pp_append = pp_q.append
         # Only DP_FS repeats its network operations per group (Eqs.
@@ -196,7 +315,7 @@ class _ProgramBuilder:
         schedule_kind = self.schedule.kind
         n_pp = self.schedule.n_pp
         seq = self.schedule.sequence_size
-        if sharded_full:
+        if sharded_overlap:
             group_keys = [
                 (op.stage, _rep_key(schedule_kind, op.microbatch, n_pp, seq))
                 for op in order
@@ -226,23 +345,20 @@ class _ProgramBuilder:
             microbatch = op.microbatch
             is_forward = op.kind is forward_kind
             group = group_keys[position]
+            stage_slot = stage * STAGE_SLOTS
             if is_forward:
                 deps = (("XA", microbatch, stage - 1),) if stage > 0 else ()
                 if sharded_overlap:
                     if group not in gather_uids_fwd:
                         gather_uids_fwd[group] = self._emit_split(
-                            dp_q,
-                            "GF",
-                            stage,
-                            group[1],
-                            self.gather_times[stage],
+                            dp_q, "GF", stage, group[1], stage_slot + GATHER,
                             "gather",
                         )
                     head, tail = gather_uids_fwd[group]
                     deps += (head,)
                     if last_fwd_of_group.get(group) == position:
                         deps += (tail,)
-                duration = forward_times[stage]
+                slot = stage_slot + FORWARD
                 category = "forward"
                 produces_send = stage < last_stage
             else:
@@ -256,66 +372,44 @@ class _ProgramBuilder:
                 if sharded_overlap:
                     if group not in gather_uids_bwd:
                         gather_uids_bwd[group] = self._emit_split(
-                            dp_q,
-                            "GB",
-                            stage,
-                            group[1],
-                            self.gather_times[stage],
+                            dp_q, "GB", stage, group[1], stage_slot + GATHER,
                             "gather",
                         )
                     head, tail = gather_uids_bwd[group]
                     deps += (head,)
                     if last_bwd_of_group.get(group) == position:
                         deps += (tail,)
-                duration = backward_times[stage]
+                slot = stage_slot + BACKWARD
                 category = "backward"
                 produces_send = stage > 0
 
             # Issuing an overlapped transfer still costs the compute
-            # stream its launch overhead.
+            # stream its launch overhead (the ``*_SEND`` slot).
             if produces_send:
-                duration += pp_launch
+                slot += 1
 
-            uid = (kind_tag[op.kind], microbatch, stage)
+            uid = ("F" if is_forward else "B", microbatch, stage)
             compute_append(
-                Instruction(
-                    uid=uid,
-                    duration=duration,
-                    deps=deps,
-                    label=str(op) if labelled else "",
-                    category=category,
-                )
+                (uid, slot, deps, str(op) if labelled else "", category)
             )
 
             if produces_send:
                 if is_forward:
-                    pp_append(
-                        Instruction(
-                            uid=("XA", microbatch, stage),
-                            duration=pp_time,
-                            deps=(uid,),
-                            label=(
-                                f"send-act(mb={microbatch}, s={stage})"
-                                if labelled
-                                else ""
-                            ),
-                            category="pp_comm",
-                        )
-                    )
+                    pp_append((
+                        ("XA", microbatch, stage),
+                        pp_slot,
+                        (uid,),
+                        f"send-act(mb={microbatch}, s={stage})" if labelled else "",
+                        "pp_comm",
+                    ))
                 else:
-                    pp_append(
-                        Instruction(
-                            uid=("XG", microbatch, stage),
-                            duration=pp_time,
-                            deps=(uid,),
-                            label=(
-                                f"send-grad(mb={microbatch}, s={stage})"
-                                if labelled
-                                else ""
-                            ),
-                            category="pp_comm",
-                        )
-                    )
+                    pp_append((
+                        ("XG", microbatch, stage),
+                        pp_slot,
+                        (uid,),
+                        f"send-grad(mb={microbatch}, s={stage})" if labelled else "",
+                        "pp_comm",
+                    ))
 
             # Gradient reduction once the group's last backward ran: the
             # bulk may overlap that backward (real reductions trail the
@@ -327,7 +421,7 @@ class _ProgramBuilder:
                     "RED",
                     stage,
                     group[1],
-                    self.reduce_times[stage],
+                    stage_slot + REDUCE,
                     "reduce",
                     head_deps=(uid,),
                     bulk_deps=bulk_deps,
@@ -337,38 +431,44 @@ class _ProgramBuilder:
 
         # Tail: serial DP block (Megatron mode), optimizer, post-step gather.
         opt_deps: list[tuple] = list(reduce_heads)
-        if self.dp_active and not impl.dp_overlap:
-            compute_q.append(
-                Instruction(
-                    uid=("DPALL", rank),
-                    duration=self.dp_serial_times[rank],
-                    deps=(),
-                    label=f"dp-all(rank={rank})",
-                    category="dp_comm",
-                )
-            )
+        if shape.dp == DP_SERIAL:
+            compute_q.append((
+                ("DPALL", rank),
+                rank_slot + DP_SERIAL_BLOCK,
+                (),
+                f"dp-all(rank={rank})",
+                "dp_comm",
+            ))
             opt_deps.append(("DPALL", rank))
 
-        compute_q.append(
-            Instruction(
-                uid=("OPT", rank),
-                duration=cost.optimizer_time(rank),
-                deps=tuple(opt_deps),
-                label=f"optimizer(rank={rank})",
-                category="optimizer",
-            )
-        )
+        compute_q.append((
+            ("OPT", rank),
+            rank_slot + OPTIMIZER,
+            tuple(opt_deps),
+            f"optimizer(rank={rank})",
+            "optimizer",
+        ))
 
-        if overlap_dp and config.sharding is Sharding.PARTIAL:
-            dp_q.append(
-                Instruction(
-                    uid=("POST", rank),
-                    duration=self.post_gather_times[rank],
-                    deps=(("OPT", rank),),
-                    label=f"post-gather(rank={rank})",
-                    category="gather",
-                )
-            )
+        if shape.partial_sharding:
+            dp_q.append((
+                ("POST", rank),
+                rank_slot + POST_GATHER,
+                (("OPT", rank),),
+                f"post-gather(rank={rank})",
+                "gather",
+            ))
+
+
+def lower_program(
+    schedule: Schedule, shape: ProgramShape, *, labelled: bool = False
+) -> dict[tuple[int, str], list[tuple]]:
+    """The structure of ``schedule`` lowered as ``shape``.
+
+    Returns queues keyed by ``(rank, stream_name)`` of ``(uid, slot,
+    deps, label, category)`` tuples; durations are
+    ``duration_values(cost, shape)[slot]``.
+    """
+    return _ProgramBuilder(schedule, shape, labelled=labelled).build()
 
 
 def build_program(
@@ -379,9 +479,18 @@ def build_program(
     Args:
         cost: Durations for every operation.
         schedule: The pipeline schedule to lower.
-        record_events: Set False to skip human-readable labels — the grid
-            search never renders timelines, and label construction is a
-            measurable share of search time.  Durations, uids and
+        record_events: Set False to skip human-readable labels of the
+            per-micro-batch instructions.  Durations, uids and
             dependencies are identical either way.
     """
-    return _ProgramBuilder(cost, schedule, record_events=record_events).build()
+    shape = program_shape(cost, schedule)
+    values = duration_values(cost, shape)
+    return {
+        key: [
+            Instruction(uid, values[slot], deps, label, category)
+            for uid, slot, deps, label, category in queue
+        ]
+        for key, queue in lower_program(
+            schedule, shape, labelled=record_events
+        ).items()
+    }

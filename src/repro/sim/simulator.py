@@ -1,9 +1,12 @@
 """High-level simulation API: one training step of one configuration.
 
-:func:`simulate` builds the schedule, lowers it to instruction streams,
-executes them on the event engine and reports the paper's metrics:
-step time, per-GPU throughput (Eq. 11 flops over time), utilization,
-per-category busy-time breakdown and the memory model's peak.
+:func:`simulate` builds the schedule, executes its lowered program and
+reports the paper's metrics: step time, per-GPU throughput (Eq. 11 flops
+over time), utilization, per-category busy-time breakdown and the memory
+model's peak.  Without a timeline the program runs as a cached compiled
+topology plus this candidate's duration vector
+(:mod:`repro.sim.topology`); with one it is built as instruction streams
+and executed on the event engine, which yields bit-identical times.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from repro.sim.implementation import (
     ImplementationProfile,
     default_implementation_for,
 )
-from repro.sim.program import build_program
+from repro.sim.program import build_program, duration_values, program_shape
 from repro.sim.timeline import TimelineEvent
+from repro.sim.topology import compiled_topology, run_topology
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,9 @@ class SimulationBase:
     Returned by :func:`simulate_delta` and fed back into it: the built
     instruction streams and the engine result are exactly what
     :func:`repro.sim.engine.run_streams_delta` diffs a sibling program
-    against.  Holding one of these per family key is the search's whole
-    delta-replay state (see ``repro.search.grid``).
+    against.  Delta replay is no longer on the search path (the search
+    replays compiled topologies, :mod:`repro.sim.topology`); it stays
+    while ``perfbench/layertrace.py`` binds these names.
 
     Attributes:
         config: The configuration the base program was built for.
@@ -107,8 +112,9 @@ def simulate(
         calibration: Cost-model constants.
         schedule: Pre-built schedule (rebuilt from the config if omitted).
         record_events: Keep the full timeline (needed for Figure 4).
-            When False the program is built without labels and the engine
-            allocates no timeline objects — the search fast path.
+            When False the program's compiled topology (built once per
+            program shape and process) is replayed with this candidate's
+            durations — the search fast path.
         memory: Pre-computed memory breakdown (recomputed if omitted).
             The search evaluates memory *before* simulating to exclude
             configurations, and passes the result here.
@@ -144,8 +150,14 @@ def simulate(
             config.n_loop,
             config.sequence_size,
         )
-    streams = build_program(cost, schedule, record_events=record_events)
-    result = run_streams(streams, record_events=record_events)
+    if record_events:
+        result = run_streams(build_program(cost, schedule), record_events=True)
+    else:
+        shape = program_shape(cost, schedule)
+        makespan, stream_busy = run_topology(
+            compiled_topology(schedule, shape), duration_values(cost, shape)
+        )
+        result = EngineResult(stream_busy=stream_busy, makespan=makespan)
     if memory is None:
         memory = memory_model(spec, config, implementation, schedule)
     return _assemble_result(cost, memory, result)
@@ -156,10 +168,9 @@ def _assemble_result(
 ) -> SimulationResult:
     """Derive the reported metrics from an engine outcome.
 
-    Shared verbatim by :func:`simulate` and :func:`simulate_delta`, so a
-    delta-replayed engine result (itself bit-exact, see
-    :func:`repro.sim.engine.run_streams_delta`) yields a byte-identical
-    :class:`SimulationResult`.
+    Shared by every simulation path (compiled topology, event engine,
+    delta replay), each bit-exact on makespan and stream busy times, so
+    all of them yield a byte-identical :class:`SimulationResult`.
     """
     config = cost.config
     calibration = cost.calibration
@@ -202,11 +213,12 @@ def simulate_delta(
 ) -> tuple[SimulationResult, SimulationBase, bool]:
     """Simulate one step, replaying only the event-graph delta from a sibling.
 
-    The incremental path of the batched grid walk: when ``base`` is the
-    :class:`SimulationBase` of a *sibling* configuration (same family,
-    one axis changed — e.g. DP0 vs DP_PS sharding of the same GPipe
-    cell), only the instruction suffix that actually differs is
-    re-executed; identical prefixes keep their timings.  Falls back to a
+    Not used by the search any more (see :class:`SimulationBase`).
+    When ``base`` is the :class:`SimulationBase` of a *sibling*
+    configuration (same family, one axis changed — e.g. DP0 vs DP_PS
+    sharding of the same GPipe cell), only the instruction suffix that
+    actually differs is re-executed; identical prefixes keep their
+    timings.  Falls back to a
     full :func:`repro.sim.engine.run_streams` — same streams, same
     arithmetic — when ``base`` is ``None`` or the delta check finds the
     programs too different, so the returned result is **bit-identical**
@@ -215,8 +227,7 @@ def simulate_delta(
 
     Returns ``(result, new_base, replayed)``: ``new_base`` carries this
     program's streams and engine result for the next sibling, and
-    ``replayed`` reports whether the delta path was actually taken (the
-    search's ``search.delta.*`` obs counters read it).
+    ``replayed`` reports whether the delta path was actually taken.
 
     Always builds label-free programs (``record_events=False``
     semantics): delta replay serves the search fast path, which never

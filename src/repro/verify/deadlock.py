@@ -16,8 +16,8 @@ This module proves the negative statically, without simulating:
   depends on — the "send without a recv" half.  The engine tolerates
   these (the transfer just runs), but a real NCCL send with no matching
   recv blocks its stream, so the verifier treats it as an error.
-- **P303 dependency cycle**: Kahn's algorithm over dep + FIFO edges
-  leaves nodes unconsumed; the smallest blocked stream heads are
+- **P303 dependency cycle**: a topological order over dep + FIFO edges
+  (:func:`repro.sim.topology.topological_order`) leaves nodes out; the smallest blocked stream heads are
   reported with what they wait on, mirroring the engine's dynamic
   deadlock diagnostics.
 - **P304 duplicate uid**: two instructions share a uid, so dependency
@@ -26,10 +26,10 @@ This module proves the negative statically, without simulating:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping, Sequence
 
 from repro.sim.engine import Instruction
+from repro.sim.topology import topological_order
 from repro.verify.labels import uid_label
 from repro.verify.report import Finding
 
@@ -113,70 +113,51 @@ def check_dependency_graph(
                     )
                 )
 
-    # Kahn's algorithm over dependency + FIFO edges.  Unmatched deps were
-    # already reported; they are excluded here so a single missing send
-    # does not additionally masquerade as a cycle.
+    # Topological order over dependency + FIFO edges (the one the
+    # simulator compiles programs with).  Unmatched deps were already
+    # reported; they are excluded here so a single missing send does not
+    # additionally masquerade as a cycle.
     keys = sorted(streams)
     index_of: dict[object, int] = {}
     nodes: list[tuple[int, str, int, Instruction]] = []
+    stops: list[int] = []
     for rank, stream in keys:
         for position, instr in enumerate(streams[(rank, stream)]):
             if owner.get(instr.uid) == (rank, stream, position):
                 index_of[instr.uid] = len(nodes)
             nodes.append((rank, stream, position, instr))
+        stops.append(len(nodes))
 
-    total = len(nodes)
-    out_edges: list[list[int]] = [[] for _ in range(total)]
-    in_degree = [0] * total
-    node_index = 0
-    for rank, stream in keys:
-        queue = streams[(rank, stream)]
-        for position, instr in enumerate(queue):
-            if position > 0:  # FIFO edge from the stream predecessor
-                out_edges[node_index - 1].append(node_index)
-                in_degree[node_index] += 1
-            for dep in instr.deps:
-                dep_index = index_of.get(dep)
-                if dep_index is not None and dep_index != node_index:
-                    out_edges[dep_index].append(node_index)
-                    in_degree[node_index] += 1
-                elif dep_index == node_index:
-                    findings.append(
-                        Finding(
-                            rule="P303",
-                            location=f"rank {rank}/{stream}[{position}]",
-                            message=(
-                                f"{uid_label(instr.uid)} depends on itself"
-                            ),
-                        )
+    ptr = [0]
+    flat: list[int] = []
+    for node_index, (rank, stream, position, instr) in enumerate(nodes):
+        for dep in instr.deps:
+            dep_index = index_of.get(dep)
+            if dep_index is not None and dep_index != node_index:
+                flat.append(dep_index)
+            elif dep_index == node_index:
+                findings.append(
+                    Finding(
+                        rule="P303",
+                        location=f"rank {rank}/{stream}[{position}]",
+                        message=f"{uid_label(instr.uid)} depends on itself",
                     )
-            node_index += 1
+                )
+        ptr.append(len(flat))
 
-    ready = deque(i for i in range(total) if not in_degree[i])
-    consumed = 0
-    while ready:
-        i = ready.popleft()
-        consumed += 1
-        for j in out_edges[i]:
-            in_degree[j] -= 1
-            if not in_degree[j]:
-                ready.append(j)
-
-    if consumed < total:
+    order, heads = topological_order(stops, ptr, flat)
+    if len(order) < len(nodes):
         # Report each stream's first stuck instruction, as the engine
         # would have at runtime — but provably, without running it.
-        stuck = [i for i in range(total) if in_degree[i] > 0]
-        stuck_set = set(stuck)
-        seen_streams: set[tuple[int, str]] = set()
-        for i in stuck:
-            rank, stream, position, instr = nodes[i]
-            if (rank, stream) in seen_streams:
+        ordered = set(order)
+        for s, head in enumerate(heads):
+            if head == stops[s]:
                 continue
-            seen_streams.add((rank, stream))
+            rank, stream, position, instr = nodes[head]
             waiting = [
                 uid_label(dep)
                 for dep in instr.deps
-                if index_of.get(dep) in stuck_set
+                if dep in index_of and index_of[dep] not in ordered
             ]
             findings.append(
                 Finding(

@@ -1,13 +1,13 @@
 """Batched grid walk: byte-identical outcomes with batching on or off.
 
-``SearchSettings.batch_eval`` composes three accelerations — vectorized
-family pricing, sibling delta replay, the tighter drain-side bound —
-each individually bit-exact.  This suite holds the composition to the
+``SearchSettings.batch_eval`` composes vectorized family pricing with
+the tighter drain-side bound, each individually bit-exact.  This suite holds the composition to the
 search's own contract: winners, frontiers, the
 ``n_tried``/``n_excluded``/``n_pruned`` split, and the *serialized
 checkpoint payload bytes* are identical with ``batch_eval`` on or off,
 for every method and every objective.  It also pins the batched walk's
-own obs counters and the accounting identity under batching.
+own obs counters, the accounting identity under batching, and the
+exact number of program topologies a fixed set of cells compiles.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from repro.search.objective import (
     ThroughputObjective,
 )
 from repro.search.service import CheckpointStore, cell_key
-from repro.search.service.serialize import outcome_to_json
 from repro.search.space import configuration_space
 from repro.sim.calibration import DEFAULT_CALIBRATION
 from repro.sim.cost import comm_time_table, stage_time_table
+from repro.sim.topology import compiled_topology
 
 SPEC = MODEL_6_6B
 CLUSTER = DGX1_CLUSTER_64
@@ -41,6 +41,7 @@ def _cold_search(method, batch, settings):
     cached_schedule.cache_clear()
     stage_time_table.cache_clear()
     comm_time_table.cache_clear()
+    compiled_topology.cache_clear()
     return best_configuration(SPEC, CLUSTER, method, batch, settings=settings)
 
 
@@ -149,29 +150,41 @@ class TestBatchedAccounting:
         )
         assert binding == outcome.n_tried
 
-    def test_delta_replay_counters_on_gpipe_cells(self):
-        """NON_LOOPED cells carry the replay-eligible sibling pairs
-        (GPipe DP0 <-> DP_PS); the search- and engine-side counters must
-        agree on what happened."""
-        with recording(MetricsRegistry(actor="test")) as registry:
-            _cold_search(
-                Method.NON_LOOPED, 64,
-                SearchSettings(batch_eval=True, bound_pruning=False),
-            )
-        c = registry.counters
-        assert c["search.delta.replayed"] > 0
-        assert c.get("search.delta.fallback", 0.0) == 0.0
-        attempts = c["search.delta.replayed"] + c.get(
-            "search.delta.fallback", 0.0
+    def test_topology_compiles_and_hits_on_fixed_cells(self):
+        """Every simulation either compiles its program topology or
+        reuses one; candidates of a cell share few structures, and an
+        adjacent batch size reuses most of the previous cell's."""
+        cells = (
+            (Method.NON_LOOPED, 64, 114, 82),
+            (Method.BREADTH_FIRST, 64, 241, 231),
+            (Method.BREADTH_FIRST, 128, 264, 513),
         )
-        assert c["engine.delta.runs"] == attempts
-        assert c["engine.delta.reused"] > 0
+        settings = SearchSettings(batch_eval=True, bound_pruning=False)
+        compiled_topology.cache_clear()
+        n_tried = 0
+        with recording(MetricsRegistry(actor="test")) as registry:
+            for method, batch, compiled, hits in cells:
+                outcome = best_configuration(
+                    SPEC, CLUSTER, method, batch, settings=settings
+                )
+                n_tried += outcome.n_tried
+                c = registry.counters
+                assert c["sim.topology.compiled"] == compiled
+                assert c["sim.topology.hits"] == hits
+        assert compiled + hits == n_tried
+        info = compiled_topology.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (compiled, hits, compiled)
 
     def test_no_batch_means_no_batch_counters(self):
         with recording(MetricsRegistry(actor="test")) as registry:
-            _cold_search(
+            outcome = _cold_search(
                 Method.BREADTH_FIRST, 64, SearchSettings(batch_eval=False)
             )
         c = registry.counters
         assert "search.batch.families_priced" not in c
-        assert c.get("search.delta.replayed", 0.0) == 0.0
+        # Simulation does not depend on batching: every simulated
+        # candidate still runs through a compiled topology.
+        assert (
+            c["sim.topology.compiled"] + c.get("sim.topology.hits", 0.0)
+            == outcome.n_tried
+        )

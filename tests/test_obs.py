@@ -41,8 +41,14 @@ from repro.obs import (
 )
 from repro.obs.report import quantile, report_to_json_text
 from repro.obs.trajectory import current_commit, load_trajectory, record_entry
-from repro.parallel.config import Method
+from repro.core.schedules.base import build_schedule
+from repro.implementations import OUR_IMPLEMENTATION
+from repro.parallel.config import Method, ParallelConfig, ScheduleKind
 from repro.search.grid import best_configuration
+from repro.sim.cost import CostModel
+from repro.sim.engine import run_streams
+from repro.sim.program import build_program
+from repro.sim.topology import compiled_topology
 
 
 class FakeClock:
@@ -235,6 +241,7 @@ class TestSnapshots:
 class TestSearchInstrumentation:
     @pytest.fixture(scope="class")
     def searched(self):
+        compiled_topology.cache_clear()
         with recording(MetricsRegistry(actor="test")) as registry:
             outcome = best_configuration(
                 MODEL_6_6B, DGX1_CLUSTER_64, Method.DEPTH_FIRST, 8
@@ -254,13 +261,39 @@ class TestSearchInstrumentation:
         assert c["search.candidates.pruned"] == outcome.n_pruned
         assert c["search.cells"] == 1.0
 
-    def test_engine_and_warm_start_counters(self, searched):
+    def test_topology_and_warm_start_counters(self, searched):
         registry, outcome = searched
         c = registry.counters
-        assert c["engine.runs"] == outcome.n_tried
-        assert c["engine.events_popped"] > 0
-        assert registry.gauges["engine.heap_high_water"] >= 1
+        # Each simulated candidate compiles its program topology or
+        # reuses a compiled one; the search never runs the event engine.
+        assert c["sim.topology.compiled"] >= 1
+        assert (
+            c["sim.topology.compiled"] + c.get("sim.topology.hits", 0.0)
+            == outcome.n_tried
+        )
+        assert "engine.runs" not in c
         assert c["search.warm_start.hits"] + c["search.warm_start.misses"] > 0
+
+    def test_engine_counters(self):
+        # Timelines and direct callers still run the event engine, which
+        # counts runs, executed instructions and its heap's high water.
+        config = ParallelConfig(
+            n_dp=2, n_pp=2, n_tp=1, microbatch_size=1, n_microbatches=4,
+            n_loop=1, schedule=ScheduleKind.GPIPE,
+        )
+        cost = CostModel(
+            spec=MODEL_6_6B, config=config, cluster=DGX1_CLUSTER_64,
+            implementation=OUR_IMPLEMENTATION,
+        )
+        schedule = build_schedule(config.schedule, config.n_pp, 4, 1, None)
+        streams = build_program(cost, schedule)
+        with recording(MetricsRegistry(actor="test")) as registry:
+            run_streams(streams)
+        assert registry.counters["engine.runs"] == 1
+        assert registry.counters["engine.events_popped"] == sum(
+            map(len, streams.values())
+        )
+        assert registry.gauges["engine.heap_high_water"] >= 1
 
     def test_stage_timers_and_tightness(self, searched):
         registry, outcome = searched
@@ -382,6 +415,17 @@ class TestTrajectory:
         assert load_trajectory(path) == {"format": 1, "entries": []}
         record_entry(path, bench="b", seconds=1.0, commit="c")
         assert len(load_trajectory(path)["entries"]) == 1
+
+    def test_no_path_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        entry = record_entry(None, bench="b", seconds=1.0, commit="c")
+        assert entry["bench"] == "b" and entry["seconds"] == 1.0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "out" / "BENCH_search.json"
+        record_entry(path, bench="b", seconds=1.0, commit="c")
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
     def test_current_commit_is_nonempty(self):
         assert current_commit()

@@ -433,20 +433,7 @@ class TestTieBreak:
                 timeline=(),
             )
 
-        def flat_simulate_delta(
-            spec, config, cluster, *, base=None, implementation=None,
-            calibration=None, schedule=None, memory=None, cost=None,
-        ):
-            impl = cost.implementation if cost is not None else implementation
-            result = flat_simulate(
-                spec, config, cluster, implementation=impl,
-                calibration=calibration, schedule=schedule,
-                memory=memory, cost=cost,
-            )
-            return result, None, False
-
         monkeypatch.setattr(grid_module, "simulate", flat_simulate)
-        monkeypatch.setattr(grid_module, "simulate_delta", flat_simulate_delta)
         outcome = grid_module.best_configuration(
             MODEL_6_6B, DGX1_CLUSTER_64, Method.NO_PIPELINE, 64
         )
